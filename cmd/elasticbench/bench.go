@@ -69,8 +69,8 @@ func record(name string, r testing.BenchmarkResult) benchResult {
 // the scan executor pinned at 1, 4 and 8 workers (suite_parallel_{1,4,8}).
 // PR 4 adds the elasticity probes: a full scale-out (scaleout_chunks), a
 // whole-cluster migration through the batched per-receiver rebalance
-// pipeline vs. the per-chunk serial shape (migrate_batched_vs_serial /
-// migrate_serial_baseline), and the advisor's plan-only what-if probe.
+// pipeline (migrate_batched_vs_serial), and the advisor's plan-only
+// what-if probe.
 // PR 5 splits the advisor probe into advise_rebuild_baseline (the
 // rebuild-per-call path, previously advise_plan) vs. advise_incremental
 // (the continuous advisor off the placement change feed), both on the
@@ -348,9 +348,11 @@ func addSupervisorProbes(report *benchReport, add func(string, func(b *testing.B
 
 // addTransportProbes appends the PR 9 transport probes, each the TCP
 // counterpart of an existing in-process probe so the wire overhead is
-// directly readable from the report: rebalance_tcp_vs_loopback (ScaleOut(2)
-// on a loaded cluster over real sockets — compare scaleout_chunks, the
-// in-process shape), ingest_over_tcp (the fixture insert over sockets —
+// directly readable from the report. The in-process probes run over the
+// default Loopback transport, which hands chunks over by pointer with no
+// codec, so each delta is the codec plus the socket: rebalance_tcp_vs_loopback
+// (ScaleOut(2) on a loaded cluster over real sockets — compare
+// scaleout_chunks), ingest_over_tcp (the fixture insert over sockets —
 // compare insert_chunks), and degraded_failover_tcp (the full kill-a-node
 // drill at R=2 over sockets — compare recover_node). It also runs the
 // calibration probe once: a TCP scale-out's measured wall clock and wire
@@ -573,9 +575,8 @@ func nextNodeMoves(c *cluster.Cluster) []partition.Move {
 }
 
 // addRebalanceProbes appends the elasticity probes: scale-out end to end,
-// the same whole-cluster migration through one batched plan vs. one plan
-// per chunk (the pre-plan serial codec shape), and the advisor's
-// plan-only what-if.
+// a whole-cluster migration through one batched plan — one Loopback push
+// per receiver, chunks by pointer — and the advisor's plan-only what-if.
 func addRebalanceProbes(report *benchReport, add func(string, func(b *testing.B))) error {
 	chs := benchfixture.Chunks(benchfixture.NumChunks, benchfixture.CellsPerChunk)
 	freshLoaded := func(b *testing.B, nodes int) *cluster.Cluster {
@@ -613,26 +614,6 @@ func addRebalanceProbes(report *benchReport, add func(string, func(b *testing.B)
 			}
 			if _, err := fresh.ExecuteRebalance(plan); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	add("migrate_serial_baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			fresh := freshLoaded(b, 4)
-			moves := nextNodeMoves(fresh)
-			b.StartTimer()
-			// One single-move plan per chunk: exactly one codec round-trip
-			// per chunk, the pre-batching migration shape.
-			for _, m := range moves {
-				plan, err := fresh.PlanMigrate([]partition.Move{m})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := fresh.ExecuteRebalance(plan); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
 	})

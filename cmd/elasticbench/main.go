@@ -11,20 +11,25 @@
 //	elasticbench -json BENCH_PR2.json -compare BENCH_PR1.json
 //	                                 # …and print the per-benchmark delta
 //
-// Experiments: table1, fig4, fig5, fig6, fig7, fig8, table2, table3, cost.
+// Experiments: table1, fig4, fig5, fig6, fig7, fig8, table2, table3, cost,
+// queries. An unknown name is an error.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
+// experimentNames are the values -exp accepts.
+var experimentNames = []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "table2", "table3", "cost", "queries", "all"}
+
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: table1,fig4,fig5,fig6,fig7,fig8,table2,table3,cost,queries,all")
+	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experimentNames, ","))
 	quick := flag.Bool("quick", false, "use the scaled-down quick configuration")
 	jsonPath := flag.String("json", "", "write hot-path micro-benchmark results to this file as JSON and exit")
 	comparePath := flag.String("compare", "", "previously recorded BENCH_PR<N>.json to diff the micro-benchmarks against")
@@ -60,7 +65,12 @@ func main() {
 	}
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
+		name := strings.TrimSpace(strings.ToLower(e))
+		if !slices.Contains(experimentNames, name) {
+			fmt.Fprintf(os.Stderr, "elasticbench: unknown experiment %q (valid: %s)\n", name, strings.Join(experimentNames, ","))
+			os.Exit(2)
+		}
+		want[name] = true
 	}
 	all := want["all"]
 	pick := func(name string) bool { return all || want[name] }

@@ -32,8 +32,8 @@
 // Cluster.PlanMigrate validates an externally planned move set the same
 // way (the co-access advisor's Advise returns one, plus predicted
 // before/after remote traffic, without moving anything). ExecuteRebalance
-// ships each receiver's chunks as one batched codec round-trip, receivers
-// in parallel, atomically; Discard backs a plan out. ScaleOut and Migrate
+// ships each receiver's chunks as one batch over the cluster transport,
+// receivers in parallel, atomically; Discard backs a plan out. ScaleOut and Migrate
 // remain as thin plan+execute wrappers.
 //
 // # Fault tolerance
@@ -146,8 +146,9 @@ type (
 	// Transport is the node-to-node data plane contract: chunk-batch
 	// push, chunk fetch, and holdings announcements.
 	Transport = transport.Transport
-	// Loopback is the in-process transport backend — the seam with
-	// pointer delivery and zero wire cost.
+	// Loopback is the in-process transport backend — pointer delivery,
+	// zero wire cost — and the one a cluster runs on when
+	// Config.Transport is nil.
 	Loopback = transport.Loopback
 	// TCP is the socket transport backend: every node a served endpoint,
 	// chunk batches streamed over the ABAT codec with bounded memory.

@@ -39,8 +39,9 @@ func Cluster(nodes int) (*cluster.Cluster, error) {
 
 // TransportCluster builds the benchmark cluster shape with a node
 // transport and replication factor — the transport-probe variant. A nil
-// transport and replication <= 1 reproduce Cluster exactly. Callers owning
-// a transport-backed cluster should Close it when done.
+// transport (the cluster's default Loopback) and replication <= 1
+// reproduce Cluster exactly. Callers passing a socket transport should
+// Close the cluster when done.
 func TransportCluster(nodes, replication int, tr transport.Transport) (*cluster.Cluster, error) {
 	if replication < 1 {
 		replication = 1

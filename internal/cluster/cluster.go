@@ -28,7 +28,7 @@ type PartitionerFactory func(initial []partition.NodeID) (partition.Partitioner,
 // Ingest runs as a plan → execute pipeline (see PlanInsert) and is safe for
 // concurrent use: any number of Insert/PlanInsert/ExecutePlan calls may run
 // in parallel, with the plan phase serialised over the partitioner table
-// and the execution phase writing per-destination-node in parallel against
+// and the execution phase pushing per-destination-node batches against
 // the sharded catalog and the locked node stores. Administration
 // (DefineArray, ReplicateArray, the rebalance pipeline PlanScaleOut /
 // PlanMigrate / ExecuteRebalance and its ScaleOut / Migrate wrappers,
@@ -118,11 +118,9 @@ type Cluster struct {
 	repChunks []*array.Chunk
 	repKeys   map[array.ChunkKey]bool
 
-	// transport, when non-nil, is the node transport every inter-node
-	// data path routes through: ingest writes, rebalance receiver
-	// batches, replica copies, query-layer chunk pulls and holdings
-	// announcements. nil (the default) keeps the original fully
-	// in-process code paths, byte-for-byte.
+	// transport is the node transport every inter-node data path routes
+	// through: ingest writes, rebalance receiver batches, replica copies,
+	// query-layer chunk pulls and holdings announcements. Never nil.
 	transport transport.Transport
 	// annMu guards announcements, the coordinator-side registry of each
 	// node's latest self-reported holdings (a leaf lock: announcements
@@ -193,13 +191,12 @@ type Config struct {
 	// TransferBackoff is the base delay between those attempts, doubling
 	// per retry (0 = default 500µs).
 	TransferBackoff time.Duration
-	// Transport, when non-nil, routes every inter-node data path —
+	// Transport is the node transport every inter-node data path —
 	// ingest writes, rebalance receiver batches, replica copies, query
-	// chunk pulls — through the given node transport (transport.Loopback
-	// for an in-process seam, transport.TCP for real sockets,
-	// transport.FaultTransport for chaos). Every node is served on it at
-	// construction; call Close when done. nil keeps the original
-	// in-process code paths with zero overhead.
+	// chunk pulls, announcements — routes through: transport.TCP for
+	// real sockets, transport.FaultTransport for chaos. nil selects
+	// transport.NewLoopback(), the in-process backend. Every node is
+	// served on it at construction; call Close when done.
 	Transport transport.Transport
 }
 
@@ -245,6 +242,10 @@ func New(cfg Config) (*Cluster, error) {
 	if backoff < 0 {
 		return nil, fmt.Errorf("cluster: transfer backoff must be >= 0, got %v", backoff)
 	}
+	tr := cfg.Transport
+	if tr == nil {
+		tr = transport.NewLoopback()
+	}
 	c := &Cluster{
 		cost:            cost,
 		nodes:           make(map[partition.NodeID]*Node),
@@ -256,7 +257,7 @@ func New(cfg Config) (*Cluster, error) {
 		transferRetries: retries,
 		transferBackoff: backoff,
 		repKeys:         make(map[array.ChunkKey]bool),
-		transport:       cfg.Transport,
+		transport:       tr,
 		announcements:   make(map[partition.NodeID]transport.Announcement),
 	}
 	c.parallelism.Store(int32(cfg.Parallelism))
@@ -457,7 +458,7 @@ type ScaleOutResult struct {
 	PredictedWireBytes int64
 	MeasuredWireBytes  int64
 	// FrameBytes is the transport-reported wire volume — framing and
-	// retries included, zero for a fully in-process cluster — and
+	// retries included over TCP, the payload volume over Loopback — and
 	// MeasuredDuration the execution's wall clock.
 	FrameBytes       int64
 	MeasuredDuration time.Duration
@@ -466,11 +467,10 @@ type ScaleOutResult struct {
 // ScaleOut provisions k new nodes, lets the partitioner revise its table,
 // and executes the resulting migration — a thin wrapper over the
 // plan → execute pipeline (PlanScaleOut / ExecuteRebalance) run as one
-// administrative operation. Chunk payloads are serialized, shipped and
-// decoded for real — one batched codec round-trip per receiving node
-// stands in for the wire — and the reorganization charge is the paper's
-// Eq 7 quantity. Replicated arrays are copied to the new nodes as part of
-// the expansion.
+// administrative operation. Each receiving node's chunks travel as one
+// batch over the cluster transport, and the reorganization charge is the
+// paper's Eq 7 quantity. Replicated arrays are copied to the new nodes as
+// part of the expansion.
 func (c *Cluster) ScaleOut(k int) (ScaleOutResult, error) {
 	if k < 1 {
 		return ScaleOutResult{}, fmt.Errorf("cluster: ScaleOut(%d): need k >= 1", k)

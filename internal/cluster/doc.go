@@ -13,8 +13,8 @@
 // within the batch and against the catalog, batch placement through
 // partition.Placer.PlaceBatch, destination validation — and reserves the
 // batch's chunks in the catalog, returning an IngestPlan. ExecutePlan then
-// performs the writes, fanning out one goroutine per destination node, and
-// charges the paper's Eq 6 split (coordinator-local bytes at disk rate,
+// performs the writes, one KindIngest push per destination node over the
+// cluster transport, and charges the paper's Eq 6 split (coordinator-local bytes at disk rate,
 // shipped bytes at network rate). A plan must be executed exactly once or
 // released with Discard; Insert runs both phases in one call. Any number
 // of ingest calls may run concurrently — the plan phase is serialised over
@@ -37,17 +37,27 @@
 // catalog, the source stores (a reserved-but-unstored ingest chunk
 // cannot be moved) and the schema registry, then grouped per receiving
 // node with the predicted wire volume and Eq 7 duration readable off the
-// plan. ExecuteRebalance ships each receiver's chunks as one batched
-// codec round-trip (array.EncodeChunkBatch, drained chunk-at-a-time with
-// array.ChunkBatchReader so a receiver's peak memory is the wire buffer
-// plus one decoded chunk), fanning receivers out in parallel for wide
-// plans, and is atomic: any store error rolls every chunk back to its
+// plan. ExecuteRebalance ships each receiver's chunks as one KindRebalance
+// push over the cluster transport (see below), fanning receivers out in
+// parallel for wide plans, and is atomic: any store error rolls every chunk back to its
 // source and restores the catalog. A plan executes at most once or is
 // released with Discard; like ingest plans, rebalance plans are
 // epoch-stamped, so executing one stales outstanding ingest plans and any
 // concurrently planned rebalance. Validate names outstanding plans of
 // both kinds. ScaleOut and Migrate remain as thin plan+execute wrappers
 // run under one administrative critical section.
+//
+// # The transport
+//
+// Every inter-node data path — ingest writes, rebalance receiver batches,
+// replica copies, query-layer chunk pulls, holdings announcements and
+// heartbeats — goes through the cluster's transport.Transport, and every
+// node is served on it as a transport.Handler. Config.Transport picks the
+// backend: transport.NewLoopback() when left nil (in-process, chunks by
+// pointer), transport.TCP for one node per socket server, optionally
+// wrapped in a transport.FaultTransport. There is one code path whatever
+// the backend; a push is receiver-atomic, so the sender retries transient
+// wire faults whole while store faults come back as the handler's verdict.
 //
 // # The placement change feed
 //

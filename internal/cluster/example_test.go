@@ -81,7 +81,7 @@ func ExampleCluster_PlanInsert() {
 // scale-out (provision nodes, revise the placement table, validate and
 // group the migration per receiver), inspect the predicted transfer —
 // per-receiver batches, wire bytes, Eq 7 duration — and only then commit
-// it, shipping each receiver's chunks as one batched codec round-trip.
+// it, shipping each receiver's chunks as one batch over the transport.
 func ExampleCluster_PlanScaleOut() {
 	schema := array.MustSchema("Grid",
 		[]array.Attribute{{Name: "v", Type: array.Float64}},

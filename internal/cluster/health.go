@@ -202,18 +202,12 @@ func (c *Cluster) RecoverNode(id partition.NodeID) (Duration, error) {
 }
 
 // deliverReplicaCopies lands one secondary copy of ch on each node in
-// dests, over the transport when one is configured, unwinding the copies
+// dests as a KindReplica push over the transport, unwinding the copies
 // already delivered if a later one fails. The caller updates the catalog
 // only after every copy landed.
 func (c *Cluster) deliverReplicaCopies(from partition.NodeID, dests []partition.NodeID, ch *array.Chunk) error {
 	for i, d := range dests {
-		var err error
-		if c.transport != nil {
-			_, err = c.pushWithRetry(from, d, transport.KindReplica, []*array.Chunk{ch})
-		} else {
-			c.nodes[d].putReplica(ch)
-		}
-		if err != nil {
+		if _, err := c.pushWithRetry(from, d, transport.KindReplica, []*array.Chunk{ch}); err != nil {
 			for _, u := range dests[:i] {
 				c.nodes[u].takeReplica(ch.Key())
 			}

@@ -35,11 +35,8 @@ func (c *Cluster) publishLiveNodes() {
 // HeartbeatNow emits one heartbeat from every non-coordinator node to the
 // coordinator, best-effort, and reports how many were attempted. Lock-free:
 // safe to call on a tight timer concurrently with ingest, queries and
-// administration. No-op without a transport.
+// administration.
 func (c *Cluster) HeartbeatNow() int {
-	if c.transport == nil {
-		return 0
-	}
 	nodes, _ := c.liveNodes.Load().([]*Node)
 	if len(nodes) == 0 {
 		return 0

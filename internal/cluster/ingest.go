@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/array"
@@ -105,8 +103,7 @@ const (
 // Insert routes a batch of new chunks through the coordinator to their
 // partitioner-assigned homes as one plan → execute round, following the
 // paper's cost shape (Eq 6): the coordinator writes its local share at disk
-// rate δ and ships the rest over the network at rate t, with the
-// per-destination writes running in parallel. Chunks are placed in
+// rate δ and ships the rest over the network at rate t. Chunks are placed in
 // canonical order so placement is deterministic regardless of batch order.
 // Inserting a chunk that already exists — or twice in one batch — is an
 // error (no-overwrite storage), detected in the plan phase before anything
@@ -134,9 +131,9 @@ func (c *Cluster) PlanInsert(chunks []*array.Chunk) (*IngestPlan, error) {
 	return c.planInsert(chunks)
 }
 
-// ExecutePlan performs a plan's writes — one goroutine per destination
-// node for batches wide enough to pay for the fan-out — and returns the
-// simulated ingest duration. A plan executes at most once.
+// ExecutePlan performs a plan's writes — one KindIngest push per
+// destination node over the cluster transport — and returns the simulated
+// ingest duration. A plan executes at most once.
 func (c *Cluster) ExecutePlan(plan *IngestPlan) (Duration, error) {
 	c.admin.RLock()
 	defer c.admin.RUnlock()
@@ -295,10 +292,6 @@ func (c *Cluster) planInsert(chunks []*array.Chunk) (*IngestPlan, error) {
 	return plan, nil
 }
 
-// parallelIngestThreshold is the batch size below which per-node fan-out
-// goroutines cost more than they save.
-const parallelIngestThreshold = 32
-
 // executePlan is the execution phase. Caller holds admin (shared).
 func (c *Cluster) executePlan(plan *IngestPlan) (Duration, error) {
 	if plan == nil {
@@ -322,25 +315,13 @@ func (c *Cluster) executePlan(plan *IngestPlan) (Duration, error) {
 		return 0, err
 	}
 	if plan.repDests != nil {
-		if c.transport != nil {
-			// Over a transport the secondary copies are fallible pushes;
-			// a persistent failure rolls the whole batch back — primaries,
-			// replicas and catalog — keeping ingest atomic.
-			if err := c.pushPlanReplicas(plan); err != nil {
-				c.rollbackWrites(plan, func(int) bool { return true })
-				c.pendingPlans.Add(-1)
-				return 0, err
-			}
-		} else {
-			// Secondary copies commit after the primary writes succeeded: a
-			// rolled-back batch leaves no replica state behind. In-memory
-			// replica placement is infallible, so the batch stays atomic.
-			for i, ch := range plan.chunks {
-				for _, r := range plan.repDests[i] {
-					c.nodes[r].putReplica(ch)
-				}
-				c.owner.SetReplicas(ch.Key(), plan.repDests[i])
-			}
+		// The secondary copies are fallible pushes; a persistent failure
+		// rolls the whole batch back — primaries, replicas and catalog —
+		// keeping ingest atomic.
+		if err := c.pushPlanReplicas(plan); err != nil {
+			c.rollbackWrites(plan, func(int) bool { return true })
+			c.pendingPlans.Add(-1)
+			return 0, err
 		}
 	}
 	c.inserted.Add(int64(len(plan.chunks)))
@@ -358,78 +339,12 @@ func (c *Cluster) executePlan(plan *IngestPlan) (Duration, error) {
 	return c.cost.DiskTime(plan.localBytes) + c.cost.NetTime(plan.remoteBytes), nil
 }
 
-// writePlan stores the plan's chunks, fanning out one goroutine per
-// destination node when there is hardware parallelism and the batch is
-// wide enough to pay for it. On any store error it rolls the whole batch
-// back — stores and catalog — so a failed batch leaves the cluster exactly
-// as it was.
-func (c *Cluster) writePlan(plan *IngestPlan) error {
-	if c.transport != nil {
-		return c.writePlanTransport(plan)
-	}
-	if len(plan.destList) <= 1 || len(plan.chunks) < parallelIngestThreshold || runtime.GOMAXPROCS(0) == 1 {
-		for i, ch := range plan.chunks {
-			if err := c.nodes[plan.dests[i]].put(ch); err != nil {
-				c.rollbackWrites(plan, func(j int) bool { return j < i })
-				return err
-			}
-		}
-		return nil
-	}
-	// Each destination's goroutine scans the shared dests slice for its
-	// own indexes: no prebuilt per-node index lists, no cross-goroutine
-	// writes inside the loop (counts are published once, at the end).
-	errs := make([]error, len(plan.destList))
-	counts := make([]int, len(plan.destList))
-	var wg sync.WaitGroup
-	for gi, id := range plan.destList {
-		node := c.nodes[id]
-		wg.Add(1)
-		go func(gi int, id partition.NodeID) {
-			defer wg.Done()
-			done := 0
-			for i, dest := range plan.dests {
-				if dest != id {
-					continue
-				}
-				if err := node.put(plan.chunks[i]); err != nil {
-					errs[gi] = err
-					break
-				}
-				done++
-			}
-			counts[gi] = done
-		}(gi, id)
-	}
-	wg.Wait()
-	for gi := range errs {
-		if errs[gi] == nil {
-			continue
-		}
-		// Roll back every goroutine's written prefix and the batch's
-		// catalog reservations.
-		remaining := make(map[partition.NodeID]int, len(plan.destList))
-		for gj, id := range plan.destList {
-			remaining[id] = counts[gj]
-		}
-		c.rollbackWrites(plan, func(j int) bool {
-			if remaining[plan.dests[j]] > 0 {
-				remaining[plan.dests[j]]--
-				return true
-			}
-			return false
-		})
-		return errs[gi]
-	}
-	return nil
-}
-
-// writePlanTransport is writePlan's wire path: the coordinator streams one
+// writePlan stores the plan's chunks: the coordinator streams one
 // KindIngest batch per destination node over the cluster transport, each
 // push retried against transient faults. Delivery is receiver-atomic, so a
 // failed destination contributed nothing; the destinations that did commit
 // are unwound, leaving the cluster exactly as it was.
-func (c *Cluster) writePlanTransport(plan *IngestPlan) error {
+func (c *Cluster) writePlan(plan *IngestPlan) error {
 	coord := c.Coordinator()
 	batch := make([]*array.Chunk, 0, len(plan.chunks))
 	for di, id := range plan.destList {

@@ -69,9 +69,8 @@ type RebalancePlan struct {
 	// measuredWire is the Eq 7 fold over the volumes actually shipped —
 	// equal to WireBytes() when the replica set did not change between
 	// planning and execution — frameBytes is what the transport reports
-	// crossed the wire (framing and retried attempts included, 0 for a
-	// transportless cluster), and measuredDur is the execution's wall
-	// clock.
+	// crossed the wire (framing and retried attempts included), and
+	// measuredDur is the execution's wall clock.
 	measuredWire int64
 	frameBytes   int64
 	measuredDur  time.Duration
@@ -96,8 +95,8 @@ type RebalanceResult struct {
 	// set changed between planning and execution.
 	MeasuredWireBytes int64
 	// FrameBytes is the transport-reported volume that crossed the wire:
-	// codec framing, protocol headers and retried attempts included.
-	// Zero for a transportless (fully in-process) cluster.
+	// codec framing, protocol headers and retried attempts included over
+	// TCP; over Loopback, which frames nothing, the payload bytes pushed.
 	FrameBytes int64
 	// MeasuredDuration is the execution's wall-clock time — real seconds
 	// next to PredictedDuration's simulated seconds.
@@ -137,7 +136,7 @@ type recoverOp struct {
 }
 
 // receiverGroup is one receiving node's share of the plan: the indexes
-// into moves it receives, shipped as a single batched codec round-trip.
+// into moves it receives, shipped as a single transport push.
 type receiverGroup struct {
 	node  partition.NodeID
 	idx   []int
@@ -145,7 +144,7 @@ type receiverGroup struct {
 }
 
 // ReceiverBatch describes one receiving node's share of a rebalance plan —
-// the batch that crosses the wire to it in one codec round-trip.
+// the batch that crosses the wire to it in one transport push.
 type ReceiverBatch struct {
 	Node   partition.NodeID
 	Chunks int
@@ -448,10 +447,10 @@ func (c *Cluster) PlanRecover(id partition.NodeID) (*RebalancePlan, error) {
 
 // executeRecoveries applies a plan's recovery ops: promote surviving
 // secondaries into primaries and ship re-replication fills (as
-// KindReplica pushes from the surviving host when the cluster has a
-// transport, frame bytes accumulated into *frames). On a store write or
-// persistent push failure every completed op is undone, keeping execution
-// atomic. Caller holds admin exclusive.
+// KindReplica pushes from the surviving host, frame bytes accumulated
+// into *frames). On a store write or persistent push failure every
+// completed op is undone, keeping execution atomic. Caller holds admin
+// exclusive.
 func (c *Cluster) executeRecoveries(plan *RebalancePlan, frames *int64) error {
 	rollback := func(done int) {
 		for i := done - 1; i >= 0; i-- {
@@ -493,31 +492,25 @@ func (c *Cluster) executeRecoveries(plan *RebalancePlan, frames *int64) error {
 				return fmt.Errorf("cluster: re-replication of %s: primary vanished from node %d", op.ref, op.host)
 			}
 		}
-		if c.transport != nil {
-			for fi, f := range op.fill {
-				wire, err := c.pushWithRetry(op.host, f, transport.KindReplica, []*array.Chunk{payload})
-				*frames += wire
-				if err == nil {
-					continue
-				}
-				// Undo this op's delivered fills and its promotion, then
-				// the completed ops before it.
-				for _, prev := range op.fill[:fi] {
-					c.nodes[prev].takeReplica(key)
-				}
-				if op.promote {
-					if ch, terr := host.take(op.ref); terr == nil {
-						host.putReplica(ch)
-					}
-					c.owner.Set(key, op.oldOwner)
-				}
-				rollback(i)
-				return fmt.Errorf("cluster: re-replication fill of %s onto node %d: %w", op.ref, f, err)
+		for fi, f := range op.fill {
+			wire, err := c.pushWithRetry(op.host, f, transport.KindReplica, []*array.Chunk{payload})
+			*frames += wire
+			if err == nil {
+				continue
 			}
-		} else {
-			for _, f := range op.fill {
-				c.nodes[f].putReplica(payload)
+			// Undo this op's delivered fills and its promotion, then the
+			// completed ops before it.
+			for _, prev := range op.fill[:fi] {
+				c.nodes[prev].takeReplica(key)
 			}
+			if op.promote {
+				if ch, terr := host.take(op.ref); terr == nil {
+					host.putReplica(ch)
+				}
+				c.owner.Set(key, op.oldOwner)
+			}
+			rollback(i)
+			return fmt.Errorf("cluster: re-replication fill of %s onto node %d: %w", op.ref, f, err)
 		}
 		c.owner.SetReplicas(key, op.reps)
 	}
@@ -665,9 +658,9 @@ func (c *Cluster) buildRebalancePlan(moves []partition.Move, added []partition.N
 }
 
 // ExecuteRebalance performs a plan's transfers — each receiver's chunks
-// encoded, shipped and decoded as one batched codec round-trip, receivers
-// in parallel for plans wide enough to pay for the fan-out — and returns
-// the simulated reorganization duration. A plan executes at most once,
+// pushed as one batch over the cluster transport, receivers in parallel
+// for plans wide enough to pay for the fan-out — and returns the
+// simulated reorganization duration. A plan executes at most once,
 // and execution is atomic: on any store error every chunk is returned to
 // its source and the catalog is restored.
 func (c *Cluster) ExecuteRebalance(plan *RebalancePlan) (Duration, error) {
@@ -701,7 +694,7 @@ func (c *Cluster) executeRebalance(plan *RebalancePlan) (Duration, error) {
 		c.epoch.Add(1)
 	}
 	// frames accumulates what the transport reports actually crossed the
-	// wire (0 throughout for a transportless cluster).
+	// wire.
 	var frames int64
 	// Replicated arrays must exist on nodes provisioned by the plan
 	// (copied from the authoritative registry, not a node's replica map,
@@ -719,26 +712,18 @@ func (c *Cluster) executeRebalance(plan *RebalancePlan) (Duration, error) {
 		}
 	}
 	if len(plan.added) > 0 && len(c.repChunks) > 0 {
-		if c.transport != nil {
-			coord := c.Coordinator()
-			for ai, id := range plan.added {
-				wire, err := c.pushWithRetry(coord, id, transport.KindReplica, c.repChunks)
-				frames += wire
-				if err != nil {
-					for _, prev := range plan.added[:ai] {
-						for _, rep := range c.repChunks {
-							c.nodes[prev].takeReplica(rep.Key())
-						}
+		coord := c.Coordinator()
+		for ai, id := range plan.added {
+			wire, err := c.pushWithRetry(coord, id, transport.KindReplica, c.repChunks)
+			frames += wire
+			if err != nil {
+				for _, prev := range plan.added[:ai] {
+					for _, rep := range c.repChunks {
+						c.nodes[prev].takeReplica(rep.Key())
 					}
-					c.pendingRebalances.Add(-1)
-					return 0, fmt.Errorf("cluster: replicated-array copy to node %d: %w", id, err)
 				}
-			}
-		} else {
-			for _, rep := range c.repChunks {
-				for _, id := range plan.added {
-					c.nodes[id].putReplica(rep)
-				}
+				c.pendingRebalances.Add(-1)
+				return 0, fmt.Errorf("cluster: replicated-array copy to node %d: %w", id, err)
 			}
 		}
 		for _, rep := range c.repChunks {
@@ -820,20 +805,19 @@ func (c *Cluster) executeRebalance(plan *RebalancePlan) (Duration, error) {
 const parallelRebalanceThreshold = 8
 
 // shipReceiverBatches moves every group's chunks: take from the sources,
-// one batched encode, one batched decode at the receiver, put and
-// recatalog. Groups ship in parallel when the plan is wide enough, and
-// receiver store writes retry transient faults (putWithRetry) before the
-// fault is treated as permanent. With a cluster transport the batch
-// travels as one streaming KindRebalance push instead — receiver-atomic,
+// then one streaming KindRebalance push per receiver — receiver-atomic,
 // retried whole against transient wire faults (pushWithRetry), with the
-// frame bytes that crossed the wire accumulated into *frames. On any
+// frame bytes that crossed the wire accumulated into *frames — and
+// recatalog. Groups ship in parallel when the plan is wide enough, and
+// receiver store writes retry transient faults (putWithRetry, inside the
+// receiver's Deliver) before the fault is treated as permanent. On any
 // persistent error the whole plan rolls back — every taken or delivered
 // chunk returns to its source and the catalog is restored — so a failed
 // rebalance leaves the cluster exactly as it was.
 func (c *Cluster) shipReceiverBatches(plan *RebalancePlan, frames *int64) error {
 	type progress struct {
 		taken []*array.Chunk // originals taken from sources, prefix of group.idx
-		put   int            // decoded chunks delivered to the receiver
+		put   int            // chunks delivered to the receiver
 		wire  int64          // transport frame bytes, failed attempts included
 		err   error
 	}
@@ -841,7 +825,6 @@ func (c *Cluster) shipReceiverBatches(plan *RebalancePlan, frames *int64) error 
 	ship := func(gi int) {
 		g := plan.groups[gi]
 		p := &progs[gi]
-		dst := c.nodes[g.node]
 		for _, i := range g.idx {
 			m := plan.moves[i]
 			ch, err := c.nodes[m.From].take(m.Ref)
@@ -851,56 +834,18 @@ func (c *Cluster) shipReceiverBatches(plan *RebalancePlan, frames *int64) error 
 			}
 			p.taken = append(p.taken, ch)
 		}
-		if c.transport != nil {
-			// One streaming push carries the whole batch; the receiver's
-			// Deliver stores chunk-at-a-time and unwinds on any fault, so
-			// success means every chunk landed and failure means none did.
-			wire, err := c.pushWithRetry(c.Coordinator(), g.node, transport.KindRebalance, p.taken)
-			p.wire = wire
-			if err != nil {
-				p.err = fmt.Errorf("cluster: batch for node %d: %w", g.node, err)
-				return
-			}
-			p.put = len(g.idx)
-			for _, i := range g.idx {
-				c.owner.Set(plan.moves[i].Ref.Packed(), g.node)
-			}
-			return
-		}
-		// The batched codec round-trip stands in for the wire, exactly as
-		// the per-chunk trip did: real serialized bytes, one message per
-		// receiver. The receiver side streams — each chunk is decoded off
-		// the shared buffer and stored before the next materialises — so
-		// peak memory per receiver is the wire buffer plus one chunk, not
-		// the whole batch twice.
-		wire, err := array.EncodeChunkBatch(p.taken)
+		// One streaming push carries the whole batch; the receiver's
+		// Deliver stores chunk-at-a-time and unwinds on any fault, so
+		// success means every chunk landed and failure means none did.
+		wire, err := c.pushWithRetry(c.Coordinator(), g.node, transport.KindRebalance, p.taken)
+		p.wire = wire
 		if err != nil {
-			p.err = err
+			p.err = fmt.Errorf("cluster: batch for node %d: %w", g.node, err)
 			return
 		}
-		dec, err := array.NewChunkBatchReader(func(name string) (*array.Schema, bool) {
-			s, ok := c.schemas[name]
-			return s, ok
-		}, wire)
-		if err != nil || dec.Len() != len(g.idx) {
-			if err == nil {
-				err = fmt.Errorf("batch carries %d chunks, plan shipped %d", dec.Len(), len(g.idx))
-			}
-			p.err = fmt.Errorf("cluster: batch for node %d corrupted in transit: %w", g.node, err)
-			return
-		}
-		for k := range g.idx {
-			ch, err := dec.Next()
-			if err != nil {
-				p.err = fmt.Errorf("cluster: batch for node %d corrupted in transit: %w", g.node, err)
-				return
-			}
-			if err := c.putWithRetry(dst, ch); err != nil {
-				p.err = err
-				return
-			}
-			p.put = k + 1
-			c.owner.Set(plan.moves[g.idx[k]].Ref.Packed(), g.node)
+		p.put = len(g.idx)
+		for _, i := range g.idx {
+			c.owner.Set(plan.moves[i].Ref.Packed(), g.node)
 		}
 	}
 	if len(plan.groups) <= 1 || len(plan.moves) < parallelRebalanceThreshold || runtime.GOMAXPROCS(0) == 1 {

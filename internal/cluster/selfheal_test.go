@@ -13,7 +13,8 @@ import (
 
 // TestHeartbeatNow pins the emission path: every non-coordinator node
 // announces once per call, sequence numbers are strictly monotonic, and a
-// transportless cluster is a no-op.
+// cluster built without Config.Transport heartbeats over its default
+// Loopback.
 func TestHeartbeatNow(t *testing.T) {
 	c := newTransportCluster(t, 3, 1, transport.NewLoopback())
 	if sent := c.HeartbeatNow(); sent != 2 {
@@ -37,8 +38,11 @@ func TestHeartbeatNow(t *testing.T) {
 	}
 
 	plain := newReplicatedCluster(t, 3, 2)
-	if sent := plain.HeartbeatNow(); sent != 0 {
-		t.Fatalf("transportless HeartbeatNow sent %d, want 0", sent)
+	if sent := plain.HeartbeatNow(); sent != 2 {
+		t.Fatalf("default-transport HeartbeatNow sent %d, want 2", sent)
+	}
+	if got := len(plain.Announcements()); got != 2 {
+		t.Fatalf("default-transport heartbeats reached the coordinator from %d nodes, want 2", got)
 	}
 }
 

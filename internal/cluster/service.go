@@ -22,7 +22,8 @@ type nodeService struct {
 
 // Deliver implements transport.Handler. Ingest and rebalance batches go to
 // the partitioned store (rebalance writes absorb transient store faults via
-// putWithRetry, mirroring the in-process path); replica batches go to the
+// putWithRetry; a fault that outlasts the retries is the handler's
+// verdict, which the sender does not retry); replica batches go to the
 // node's replica map. Chunks are consumed one at a time off the stream, so
 // a socket-backed delivery holds O(one chunk) beyond the receiver's ring.
 func (s *nodeService) Deliver(from partition.NodeID, kind transport.BatchKind, n int, next func() (*array.Chunk, error)) error {
@@ -98,25 +99,19 @@ func (s *nodeService) Schema(name string) (*array.Schema, bool) {
 }
 
 // serveNode registers a node's endpoint with the cluster transport.
-// No-op without one.
 func (c *Cluster) serveNode(id partition.NodeID) error {
-	if c.transport == nil {
-		return nil
-	}
 	return c.transport.Serve(id, &nodeService{c: c, node: c.nodes[id]})
 }
 
-// Transport returns the cluster's node transport, nil when the cluster
-// runs fully in-process with no transport seam.
+// Transport returns the cluster's node transport: Config.Transport, or
+// the Loopback the cluster built when that was nil. Never nil.
 func (c *Cluster) Transport() transport.Transport { return c.transport }
 
 // WireReads reports whether chunk reads between distinct nodes cross a
-// real wire — a transport is configured and it is remote (TCP). The query
-// layer gates its wire re-fetches on this: under the loopback transport or
-// no transport at all, cross-node reads stay pointer reads.
-func (c *Cluster) WireReads() bool {
-	return c.transport != nil && c.transport.Remote()
-}
+// real wire — the transport is remote (TCP). The query layer gates its
+// wire re-fetches on this: under Loopback, cross-node reads stay pointer
+// reads.
+func (c *Cluster) WireReads() bool { return c.transport.Remote() }
 
 // FetchChunk pulls the named chunk from holder over the transport on
 // behalf of reader, returning the decoded copy — byte-identical to the
@@ -153,8 +148,8 @@ func (c *Cluster) SetAnnouncementSink(fn func(transport.Announcement)) {
 }
 
 // Announcements returns the latest holdings announcement per node, as
-// received by the coordinator over the transport. Empty without a
-// transport (the in-process cluster reads state directly).
+// received by the coordinator over the transport. Empty until the first
+// administrative commit or heartbeat has announced anything.
 func (c *Cluster) Announcements() map[partition.NodeID]transport.Announcement {
 	c.annMu.Lock()
 	defer c.annMu.Unlock()
@@ -171,9 +166,6 @@ func (c *Cluster) Announcements() map[partition.NodeID]transport.Announcement {
 // announcement lost to an injected fault is advisory state, not catalog
 // truth, so errors are not propagated. Caller holds admin exclusive.
 func (c *Cluster) announceAll() {
-	if c.transport == nil {
-		return
-	}
 	coord := c.Coordinator()
 	epoch := c.epoch.Load()
 	for _, id := range c.order {
@@ -222,10 +214,7 @@ func (c *Cluster) pushWithRetry(from, to partition.NodeID, kind transport.BatchK
 }
 
 // Close releases the cluster's transport endpoints (listeners, pooled
-// connections). A transportless cluster has nothing to release.
+// connections; Loopback just drops its handlers).
 func (c *Cluster) Close() error {
-	if c.transport == nil {
-		return nil
-	}
 	return c.transport.Close()
 }

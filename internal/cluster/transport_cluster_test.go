@@ -3,9 +3,12 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -14,8 +17,8 @@ import (
 )
 
 // newTransportCluster builds a cluster routing its data paths over the
-// given transport, with the test schema defined and Close hooked into
-// test cleanup.
+// given transport (nil: the cluster's default Loopback), with the test
+// schema defined and Close hooked into test cleanup.
 func newTransportCluster(t testing.TB, nodes, replication int, tr transport.Transport) *Cluster {
 	t.Helper()
 	c, err := New(Config{
@@ -35,9 +38,11 @@ func newTransportCluster(t testing.TB, nodes, replication int, tr transport.Tran
 	return c
 }
 
-// eachClusterBackend runs fn once per transport backend, plus the
-// transportless baseline when withNil is set.
+// eachClusterBackend runs fn once per transport backend: the default a
+// cluster picks when Config.Transport is nil, an explicit Loopback, and
+// TCP.
 func eachClusterBackend(t *testing.T, fn func(t *testing.T, tr transport.Transport)) {
+	t.Run("default", func(t *testing.T) { fn(t, nil) })
 	t.Run("loopback", func(t *testing.T) { fn(t, transport.NewLoopback()) })
 	t.Run("tcp", func(t *testing.T) { fn(t, transport.NewTCP(transport.TCPOptions{})) })
 }
@@ -119,19 +124,41 @@ func diffFingerprints(t *testing.T, want, got map[string]string) {
 	}
 }
 
+// golden is a checked-in reference outcome under testdata/: the state
+// fingerprint and simulated charges a test's script produced on the
+// transportless in-process cluster, recorded before that code path was
+// removed. Every backend must reproduce it exactly.
+type golden struct {
+	State        map[string]string `json:"state"`
+	InsertCharge Duration          `json:"insert_charge"`
+	ReorgCharge  Duration          `json:"reorg_charge"`
+}
+
+func loadGolden(t *testing.T, name string) golden {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g golden
+	if err := json.Unmarshal(b, &g); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(g.State) == 0 {
+		t.Fatalf("%s holds no state", name)
+	}
+	return g
+}
+
 // TestClusterOverTransportMatchesInProcess drives the same insert →
-// scale-out → insert sequence through each transport backend and through
-// the transportless baseline, and demands byte-identical cluster state
-// and identical simulated charges.
+// scale-out → insert sequence through each transport backend and demands
+// the in-process reference's byte-identical cluster state and identical
+// simulated charges.
 func TestClusterOverTransportMatchesInProcess(t *testing.T) {
-	run := func(t *testing.T, tr transport.Transport) (map[string]string, Duration, Duration) {
-		var c *Cluster
-		if tr == nil {
-			c = newReplicatedCluster(t, 2, 2)
-		} else {
-			c = newTransportCluster(t, 2, 2, tr)
-		}
-		d1, err := c.Insert(makeChunksIn(t, 24, 8, 7, 0, 8))
+	want := loadGolden(t, "transport_equivalence.golden.json")
+	eachClusterBackend(t, func(t *testing.T, tr transport.Transport) {
+		c := newTransportCluster(t, 2, 2, tr)
+		ins, err := c.Insert(makeChunksIn(t, 24, 8, 7, 0, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,17 +172,12 @@ func TestClusterOverTransportMatchesInProcess(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		return fingerprint(t, c), d1, res.Reorg
-	}
-	base, baseIns, baseReorg := run(t, nil)
-	eachClusterBackend(t, func(t *testing.T, tr transport.Transport) {
-		got, ins, reorg := run(t, tr)
-		diffFingerprints(t, base, got)
-		if ins != baseIns {
-			t.Errorf("insert charge %v, baseline %v", ins, baseIns)
+		diffFingerprints(t, want.State, fingerprint(t, c))
+		if ins != want.InsertCharge {
+			t.Errorf("insert charge %v, baseline %v", ins, want.InsertCharge)
 		}
-		if reorg != baseReorg {
-			t.Errorf("reorg charge %v, baseline %v", reorg, baseReorg)
+		if res.Reorg != want.ReorgCharge {
+			t.Errorf("reorg charge %v, baseline %v", res.Reorg, want.ReorgCharge)
 		}
 	})
 }
@@ -187,7 +209,7 @@ func TestScaleOutMeasuredWireMatchesPrediction(t *testing.T) {
 		if res.MeasuredDuration <= 0 {
 			t.Error("measured duration missing")
 		}
-		if tr.Remote() {
+		if c.Transport().Remote() {
 			if res.FrameBytes < res.MovedBytes {
 				t.Errorf("TCP frame bytes %d below payload volume %d", res.FrameBytes, res.MovedBytes)
 			}
@@ -304,9 +326,11 @@ func TestIngestOverTransportRollsBack(t *testing.T) {
 
 // TestRecoveryDrillOverTransport runs the kill-a-node drill — fail,
 // recover from replicas, readmit — entirely over each backend and pins
-// the end state to the transportless baseline.
+// the end state to the in-process reference.
 func TestRecoveryDrillOverTransport(t *testing.T) {
-	drill := func(t *testing.T, c *Cluster) map[string]string {
+	want := loadGolden(t, "recovery_drill.golden.json")
+	eachClusterBackend(t, func(t *testing.T, tr transport.Transport) {
+		c := newTransportCluster(t, 3, 2, tr)
 		if _, err := c.Insert(makeChunks(t, 24, 8, 7)); err != nil {
 			t.Fatal(err)
 		}
@@ -333,11 +357,7 @@ func TestRecoveryDrillOverTransport(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		return fingerprint(t, c)
-	}
-	base := drill(t, newReplicatedCluster(t, 3, 2))
-	eachClusterBackend(t, func(t *testing.T, tr transport.Transport) {
-		diffFingerprints(t, base, drill(t, newTransportCluster(t, 3, 2, tr)))
+		diffFingerprints(t, want.State, fingerprint(t, c))
 	})
 }
 
@@ -382,8 +402,12 @@ func TestAnnouncementsTrackHoldings(t *testing.T) {
 // TestWireReadsGate pins the query-side gate: only a served remote
 // transport reports wire reads.
 func TestWireReadsGate(t *testing.T) {
-	if newTestCluster(t, 2, consistentFactory).WireReads() {
-		t.Error("transportless cluster must not report wire reads")
+	def := newTestCluster(t, 2, consistentFactory)
+	if def.Transport() == nil {
+		t.Error("a cluster built without Config.Transport must still have one")
+	}
+	if def.WireReads() {
+		t.Error("default-transport cluster must not report wire reads")
 	}
 	if newTransportCluster(t, 2, 1, transport.NewLoopback()).WireReads() {
 		t.Error("loopback cluster must not report wire reads")

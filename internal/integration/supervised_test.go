@@ -40,30 +40,17 @@ func waitEvent(t *testing.T, s *supervisor.Supervisor, kind supervisor.EventKind
 	t.Fatalf("fewer than %d %v event(s) within %v; events: %v", n, kind, deadline, s.Events())
 }
 
-// manualDrillStages replays the operator-driven drill on an in-process
-// cluster and returns the recovered and readmitted fingerprints — the
-// ground truth the supervised run must reproduce byte for byte.
+// manualDrillStages returns the operator-driven drill's reference
+// checkpoints (testdata/modis_drill.golden.json) — the victim, the
+// recovered and readmitted fingerprints and the healthy suite answers —
+// the ground truth the supervised run must reproduce byte for byte.
 func manualDrillStages(t *testing.T) (victim partition.NodeID, recovered, readmitted map[string]string, answers map[string][2]float64) {
 	t.Helper()
-	c, cycle := modisCluster(t, 2)
-	answers = suiteAnswers(t, c, cycle)
-	victim = drillVictim(t, c)
-	if err := c.FailNode(victim); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := c.PlanRecover(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ExecuteRebalance(plan); err != nil {
-		t.Fatal(err)
-	}
-	recovered = clusterFingerprint(t, c)
-	if _, err := c.RecoverNode(victim); err != nil {
-		t.Fatal(err)
-	}
-	readmitted = clusterFingerprint(t, c)
-	return victim, recovered, readmitted, answers
+	var drill drillGolden
+	loadGolden(t, "modis_drill.golden.json", &drill)
+	var suite stage
+	loadGolden(t, "modis_suite.golden.json", &suite)
+	return drill.Victim, drill.Recovered.State, drill.Readmitted.State, suite.Answers
 }
 
 // TestSupervisedKillANodeDrillOverTCP is the PR's headline: the MODIS

@@ -3,14 +3,49 @@ package integration
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
 	"repro/internal/array"
 	"repro/internal/cluster"
+	"repro/internal/partition"
 	"repro/internal/transport"
 )
+
+// stage is one checkpoint of a run: the cluster's state fingerprint and
+// the MODIS suite's answers.
+type stage struct {
+	State   map[string]string     `json:"state"`
+	Answers map[string][2]float64 `json:"answers"`
+}
+
+// loadGolden decodes a checked-in reference outcome from testdata/ into v.
+// The references were recorded from the transportless in-process cluster
+// before that code path was removed; every backend must reproduce them
+// exactly.
+func loadGolden(t *testing.T, name string, v any) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+}
+
+// drillGolden is the kill-a-node drill's reference: the victim and the
+// degraded, recovered and readmitted checkpoints.
+type drillGolden struct {
+	Victim     partition.NodeID `json:"victim"`
+	Degraded   stage            `json:"degraded"`
+	Recovered  stage            `json:"recovered"`
+	Readmitted stage            `json:"readmitted"`
+}
 
 // clusterFingerprint hashes every node's full data state — primaries and
 // replicas, payload bytes included — so two clusters that took different
@@ -65,6 +100,9 @@ func requireSameState(t *testing.T, label string, want, got map[string]string) {
 
 func requireSameAnswers(t *testing.T, label string, want, got map[string][2]float64) {
 	t.Helper()
+	if len(want) == 0 {
+		t.Fatalf("%s: no baseline answers to compare against", label)
+	}
 	for name, w := range want {
 		if g := got[name]; g != w {
 			t.Errorf("%s: query %s = %v, baseline %v", label, name, g, w)
@@ -73,20 +111,20 @@ func requireSameAnswers(t *testing.T, label string, want, got map[string][2]floa
 }
 
 // TestMODISSuiteOverTCPMatchesInProcess ingests the full MODIS workload
-// once per transport backend — in-process baseline, loopback, TCP — and
-// requires byte-identical cluster state and identical benchmark-suite
-// answers everywhere. Over TCP every ingest write crosses a real socket
-// and every halo/join pull is a wire fetch, so this pins the whole stack:
-// same bytes stored, same answers computed.
+// once per transport backend — the default, loopback, TCP — and requires
+// the in-process reference's byte-identical cluster state and identical
+// benchmark-suite answers everywhere. Over TCP every ingest write crosses
+// a real socket and every halo/join pull is a wire fetch, so this pins the
+// whole stack: same bytes stored, same answers computed.
 func TestMODISSuiteOverTCPMatchesInProcess(t *testing.T) {
-	base, cycle := modisCluster(t, 2)
-	wantState := clusterFingerprint(t, base)
-	wantAnswers := suiteAnswers(t, base, cycle)
+	var want stage
+	loadGolden(t, "modis_suite.golden.json", &want)
 
 	for _, backend := range []struct {
 		name string
 		tr   transport.Transport
 	}{
+		{"default", nil},
 		{"loopback", transport.NewLoopback()},
 		{"tcp", transport.NewTCP(transport.TCPOptions{})},
 	} {
@@ -95,23 +133,25 @@ func TestMODISSuiteOverTCPMatchesInProcess(t *testing.T) {
 			if err := c.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			requireSameState(t, backend.name, wantState, clusterFingerprint(t, c))
-			requireSameAnswers(t, backend.name, wantAnswers, suiteAnswers(t, c, cyc))
+			requireSameState(t, backend.name, want.State, clusterFingerprint(t, c))
+			requireSameAnswers(t, backend.name, want.Answers, suiteAnswers(t, c, cyc))
 		})
 	}
 }
 
-// TestMODISKillANodeDrillOverTCP replays the kill-a-node drill with every
-// batch on real sockets and pins each stage — degraded, recovered,
-// readmitted — to the in-process drill byte for byte, answers included.
+// TestMODISKillANodeDrillOverTCP replays the kill-a-node drill on the
+// default transport and with every batch on real sockets, and pins each
+// stage — degraded, recovered, readmitted — to the in-process reference
+// drill byte for byte, answers included.
 func TestMODISKillANodeDrillOverTCP(t *testing.T) {
-	type stage struct {
-		state   map[string]string
-		answers map[string][2]float64
-	}
+	var want drillGolden
+	loadGolden(t, "modis_drill.golden.json", &want)
 	drill := func(t *testing.T, tr transport.Transport) []stage {
 		c, cycle := modisClusterOver(t, 2, tr, 0)
 		victim := drillVictim(t, c)
+		if victim != want.Victim {
+			t.Fatalf("drill picked victim %d, reference %d", victim, want.Victim)
+		}
 		if err := c.FailNode(victim); err != nil {
 			t.Fatal(err)
 		}
@@ -141,12 +181,22 @@ func TestMODISKillANodeDrillOverTCP(t *testing.T) {
 		return stages
 	}
 
-	want := drill(t, nil)
-	got := drill(t, transport.NewTCP(transport.TCPOptions{}))
+	wantStages := []stage{want.Degraded, want.Recovered, want.Readmitted}
 	names := []string{"degraded", "recovered", "readmitted"}
-	for i, name := range names {
-		requireSameState(t, name, want[i].state, got[i].state)
-		requireSameAnswers(t, name, want[i].answers, got[i].answers)
+	for _, backend := range []struct {
+		name string
+		tr   transport.Transport
+	}{
+		{"default", nil},
+		{"tcp", transport.NewTCP(transport.TCPOptions{})},
+	} {
+		t.Run(backend.name, func(t *testing.T) {
+			got := drill(t, backend.tr)
+			for i, name := range names {
+				requireSameState(t, name, wantStages[i].State, got[i].State)
+				requireSameAnswers(t, name, wantStages[i].Answers, got[i].Answers)
+			}
+		})
 	}
 }
 
@@ -155,7 +205,7 @@ func TestMODISKillANodeDrillOverTCP(t *testing.T) {
 // a FaultTransport-wrapped TCP backend randomly dropping 30% of pushes.
 // Whole-batch retry must absorb every injected fault, and because retried
 // batches are receiver-atomic the surviving state must be byte-identical
-// to a fault-free in-process run of the same script.
+// to the fault-free in-process reference run of the same script.
 func TestMODISChaosDropsConvergeByteIdentical(t *testing.T) {
 	script := func(t *testing.T, tr transport.Transport, retries int) *cluster.Cluster {
 		c, _ := modisClusterOver(t, 2, tr, retries)
@@ -179,7 +229,8 @@ func TestMODISChaosDropsConvergeByteIdentical(t *testing.T) {
 		return c
 	}
 
-	baseline := script(t, nil, 0)
+	var want stage
+	loadGolden(t, "modis_chaos.golden.json", &want)
 
 	faults := transport.NewFaultTransport(transport.NewTCP(transport.TCPOptions{}))
 	faults.SetDropRate(0.3, 7)
@@ -192,5 +243,5 @@ func TestMODISChaosDropsConvergeByteIdentical(t *testing.T) {
 	if faults.Injected() == 0 {
 		t.Error("chaos run injected no faults; drop rate never fired")
 	}
-	requireSameState(t, "chaos", clusterFingerprint(t, baseline), clusterFingerprint(t, chaos))
+	requireSameState(t, "chaos", want.State, clusterFingerprint(t, chaos))
 }

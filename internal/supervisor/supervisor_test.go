@@ -322,22 +322,6 @@ func TestGiveUpAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-func TestSupervisorRequiresTransport(t *testing.T) {
-	c, err := cluster.New(cluster.Config{
-		InitialNodes: 2,
-		NodeCapacity: 10 << 20,
-		Partitioner: func(initial []partition.NodeID) (partition.Partitioner, error) {
-			return partition.NewConsistentHash(initial, 64), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(c, Options{}); err == nil {
-		t.Fatal("supervisor over a transportless cluster must be rejected")
-	}
-}
-
 // TestStartStop smoke-checks the background loop plumbing: Start runs,
 // double Start errors, Stop is idempotent and detaches the sink.
 func TestStartStop(t *testing.T) {

@@ -12,10 +12,9 @@ import (
 
 // Loopback is the in-process backend: delivery is a direct handler call
 // and chunks cross as pointers, so a push costs exactly what the handler's
-// store writes cost — no encode, no copy. It exists so the cluster's
-// transport seam can be exercised (and fault-injected via FaultTransport)
-// at zero wire cost; a cluster with no transport at all short-circuits
-// even the seam.
+// store writes cost — no encode, no copy. It is the transport a cluster
+// runs on when none is configured, and the base FaultTransport wraps by
+// default for fault injection without sockets.
 type Loopback struct {
 	mu       sync.RWMutex
 	handlers map[partition.NodeID]Handler

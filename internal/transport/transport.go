@@ -6,13 +6,14 @@
 // through three verbs — PushChunks (a rebalance or ingest receiver's whole
 // batch, delivered atomically), FetchChunk (a query-layer remote pull) and
 // Announce (a node's health/holdings heartbeat) — and serves each of its
-// nodes to the transport as a Handler. Two backends implement the
-// contract:
+// nodes to the transport as a Handler. Every cluster has a transport, so
+// each data path has exactly one implementation. Two backends implement
+// the contract:
 //
 //   - Loopback: in-process delivery by reference. Chunks cross as
 //     pointers, nothing is encoded, and a push costs what the handler's
-//     store writes cost. This is the zero-overhead default shape: a
-//     cluster with no transport configured behaves identically.
+//     store writes cost. It is the cluster's default: a cluster built
+//     with no transport configured runs on a fresh Loopback.
 //   - TCP: every node is a goroutine-owned socket server and every verb is
 //     a length-prefixed wire exchange reusing the array package's "ABAT"
 //     batch framing as the payload protocol. Batches stream on both ends —
